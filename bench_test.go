@@ -335,6 +335,36 @@ func BenchmarkEngineReport(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineVerdict is the hot-path proof bench for (*Engine).Report:
+// each pass reports every corrupting link below the detection threshold
+// (record only), then above it (fast check, disable or block), with the
+// penalty sum registered so every rate change runs the incremental fold.
+// The 0 allocs/op hotpath floor in scripts/bench_floors.txt holds hotalloc's
+// static proof of Report to the measurement.
+func BenchmarkEngineVerdict(b *testing.B) {
+	net, corrupting := largeNetwork(b, 0.75, 200)
+	net.RegisterPenalty(LinearPenalty)
+	engine := NewEngine(net, EngineConfig{})
+	n := len(corrupting)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := corrupting[i%n]
+		if (i/n)%2 == 0 {
+			engine.Report(l, 1e-7)
+			continue
+		}
+		engine.Report(l, 1e-4)
+		if i%n == n-1 {
+			b.StopTimer()
+			for _, c := range corrupting {
+				net.Enable(c)
+			}
+			b.StartTimer()
+		}
+	}
+}
+
 // shardedExperimentIDs are the scenario-sharded drivers measured by the
 // experiments bench suite and ratcheted by scripts/bench_check.sh.
 var shardedExperimentIDs = []string{"fig14", "fig1516", "fig17", "fig19", "sec2", "ext8", "fleet", "ticketq"}

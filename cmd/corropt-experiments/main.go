@@ -12,10 +12,8 @@
 // concurrency (default: one worker per CPU). When -exp names several
 // experiments (a comma list, or 'all'), their scenarios are flattened into
 // one global work list so the pool load-balances across experiments instead
-// of draining them one at a time. The fleet experiment additionally takes
-// -shards, the fleet supervisor's shard-packing target. Reports are
-// byte-identical for any -workers or -shards value and any batching — the
-// flags only change wall-clock time.
+// of draining them one at a time. Reports are byte-identical for any
+// -workers value and any batching — the flag only changes wall-clock time.
 //
 // Each experiment prints a TSV report: the same rows or series the paper
 // plots, with notes comparing the measured shape against the published one.
@@ -37,7 +35,6 @@ func main() {
 		scale   = flag.String("scale", "small", "dcn scale: small, medium, large")
 		seed    = flag.Uint64("seed", 1, "random seed (equal seeds reproduce identical reports)")
 		workers = flag.Int("workers", 0, "concurrent scenario replays per experiment (0 = one per CPU); any value produces byte-identical reports")
-		shards  = flag.Int("shards", 0, "fleet supervisor shard-packing target (0 = one shard per topology segment); any value produces byte-identical reports")
 		out     = flag.String("o", "", "output file (default stdout)")
 		format  = flag.String("format", "tsv", "output format: tsv or json")
 		list    = flag.Bool("list", false, "list available experiments")
@@ -68,7 +65,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "corropt-experiments: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers, Shards: *shards}
+	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers}
 
 	w := os.Stdout
 	if *out != "" {

@@ -10,11 +10,11 @@ package analysis
 // for its integer-determinism purposes; floatorder closes exactly the
 // floating-point gap that maprange's acceptance documents.
 //
-// The sanctioned writers — core.Network's incremental penalty sum and
-// internal/fleet's per-segment accumulators — stay clean by construction:
-// they fold in event order over deterministic containers (bitset iteration
-// in ascending link order) and re-sum exactly every penaltyRebuildEvery /
-// segRebuildEvery updates, so they contain no map-order or arrival-order
+// The sanctioned writer — core.Network's incremental penalty sum, which
+// every internal/fleet shard's engine also keeps — stays clean by
+// construction: it folds in event order over deterministic containers
+// (bitset iteration in ascending link order) and re-sums exactly every
+// penaltyRebuildEvery updates, so it contains no map-order or arrival-order
 // folds for this analyzer to flag. Anything else that needs an
 // order-sensitive fold must sort its keys first, re-sum in a fixed order,
 // or carry a `//lint:allow floatorder <reason>` annotation.

@@ -213,6 +213,7 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 	}
 	var c float64
 	if rate > 0 && !n.disabled.Has(l) {
+		//lint:allow hotalloc registered PenaltyFunc values are pure arithmetic; a dynamic call is unprovable statically
 		c = n.penalty(rate)
 	}
 	n.setContrib(l, c)
@@ -472,14 +473,11 @@ func (n *Network) ViolatedToRs(extra map[topology.LinkID]bool) []topology.Switch
 // violatedUnder returns the ToRs violated when, in addition to the current
 // disabled set, every link in extra is disabled — evaluated by incremental
 // Apply probes (one downstream-cone delta per link) instead of a full
-// topology sweep, and fully reverted before returning. A nil tors scans every
-// ToR; a non-nil tors restricts the scan to those switches, which is exact
-// when every link in extra has all its downstream ToRs in tors (the segment
-// boundary invariant). applied and out are optional scratch buffers
-// (overwritten from length zero); the result slices alias them, so each
-// caller must own its buffers and must not retain the result past its next
-// call.
-func (n *Network) violatedUnder(tors []topology.SwitchID, extra, applied []topology.LinkID, out []topology.SwitchID) ([]topology.SwitchID, []topology.LinkID) {
+// topology sweep, and fully reverted before returning. applied and out are
+// optional scratch buffers (overwritten from length zero); the result slices
+// alias them, so each caller must own its buffers and must not retain the
+// result past its next call.
+func (n *Network) violatedUnder(extra, applied []topology.LinkID, out []topology.SwitchID) ([]topology.SwitchID, []topology.LinkID) {
 	applied = applied[:0]
 	for _, l := range extra {
 		if !n.disabled.Has(l) {
@@ -489,10 +487,7 @@ func (n *Network) violatedUnder(tors []topology.SwitchID, extra, applied []topol
 	}
 	counts, total := n.pc.IncCounts(), n.pc.Total()
 	out = out[:0]
-	if tors == nil {
-		tors = n.topo.ToRs()
-	}
-	for _, tor := range tors {
+	for _, tor := range n.topo.ToRs() {
 		if !n.meets(tor, counts, total) {
 			out = append(out, tor)
 		}

@@ -138,6 +138,12 @@ func TestControllerRejectsUnknownLink(t *testing.T) {
 	if _, err := cli.Report(99999, 1e-3); err == nil {
 		t.Fatal("unknown link accepted")
 	}
+	if _, err := cli.Report(0, -1e-3); err == nil {
+		t.Fatal("negative rate accepted")
+	}
+	if got := engine.Network().CorruptionRate(0); got != 0 {
+		t.Fatalf("rejected report stored rate %g", got)
+	}
 	// The connection stays usable after an error reply.
 	if _, err := cli.Status(); err != nil {
 		t.Fatalf("connection dead after error: %v", err)

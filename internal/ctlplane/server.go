@@ -255,6 +255,9 @@ func (c *Controller) dispatch(msg *Envelope) *Envelope {
 		if int(r.Link) < 0 || int(r.Link) >= net.Topology().NumLinks() {
 			return errEnvelope("unknown link")
 		}
+		if !core.ValidRate(r.Rate) {
+			return errEnvelope("invalid corruption rate")
+		}
 		d := c.engine.ReportCorruption(r.Link, r.Rate)
 		return &Envelope{Type: TypeDecision, Decision: &Decision{
 			Link:     d.Link,

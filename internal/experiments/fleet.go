@@ -30,9 +30,8 @@ func init() {
 // substream, fanned out with per-worker Scratch reuse), and the report
 // closes with a fleet.Supervisor replay of the same fault traces as a
 // corruption-event stream — the sharded controller path. Results are
-// collected in DCN order and the supervisor snapshot is shard- and
-// worker-count invariant, so reports stay byte-identical for any Workers or
-// Shards value.
+// collected in DCN order and the supervisor snapshot is worker-count
+// invariant, so reports stay byte-identical for any Workers value.
 func fleetStudy(cfg Config) (*plan, error) {
 	nDCNs := 70
 	if cfg.Scale == ScaleSmall {
@@ -163,7 +162,7 @@ func fleetSupervisorNote(cfg Config, nDCNs int) (string, error) {
 			return int(a.Kind) - int(b.Kind)
 		}
 	})
-	sup, err := fleet.New(dcns, fleet.Config{Shards: cfg.Shards, Workers: cfg.Workers, Capacity: 0.5})
+	sup, err := fleet.New(dcns, fleet.Config{Workers: cfg.Workers, Capacity: 0.5})
 	if err != nil {
 		return "", err
 	}

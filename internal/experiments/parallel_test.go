@@ -87,26 +87,6 @@ func TestRunManyMatchesRun(t *testing.T) {
 	}
 }
 
-// TestFleetShardsInvariance pins the fleet driver's second performance
-// knob: Config.Shards repacks the fleet supervisor's segments into
-// different shard sets, and — like Workers — must never change a byte of
-// the report, including the supervisor-replay note.
-func TestFleetShardsInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet replay; skipped in -short mode")
-	}
-	ref := renderReport(t, "fleet", Config{Scale: ScaleSmall, Seed: 1, Workers: 1, Shards: 1})
-	for _, tc := range []Config{
-		{Scale: ScaleSmall, Seed: 1, Workers: 8, Shards: 0},
-		{Scale: ScaleSmall, Seed: 1, Workers: 3, Shards: 5},
-	} {
-		if got := renderReport(t, "fleet", tc); !bytes.Equal(got, ref) {
-			t.Errorf("Shards=%d Workers=%d report differs from Shards=1 Workers=1\n--- got ---\n%s\n--- want ---\n%s",
-				tc.Shards, tc.Workers, got, ref)
-		}
-	}
-}
-
 // TestRunManyUnknownID pins the fail-fast path: an unknown id anywhere in
 // the batch rejects the whole call before any scenario runs.
 func TestRunManyUnknownID(t *testing.T) {

@@ -2,21 +2,22 @@
 // center networks at once. It promotes the paper's §8 topology segmentation
 // (the trick that made CorrOpt tractable on 15 production DCNs) into a
 // static sharding axis: every DCN is partitioned into cone-closed segments
-// (topology.Partition), segments are packed into shards, and each shard owns
-// a standalone sub-topology with its own core.Network, incremental path
-// counter, fast checker and segment-scoped optimizer. A supervisor routes
-// corruption events to shards by link ownership, fans shard drains out on
-// internal/runner, and owns every cross-segment invariant: the global ticket
-// queue, the fleet-wide penalty sum, and capacity-constraint headroom
-// aggregation.
+// (topology.Partition), and each shard is one unit — a ToR-bearing segment
+// plus any ToR-less segments glued to it — with a standalone sub-topology
+// and its own core.Engine: the same fast-checker/optimizer decision the
+// live controller runs, over a Network that keeps the unit's incremental
+// path counter and penalty sum. A supervisor routes corruption events to
+// shards by link ownership, fans shard drains out on internal/runner, and
+// owns every cross-segment invariant: the global ticket queue, the
+// fleet-wide penalty sum, and capacity-constraint headroom aggregation.
 //
 // The determinism contract matches the rest of the repository: for a fixed
-// event sequence, Snapshot output is byte-identical for any shard count and
-// any worker count. Shard-locality makes that cheap to guarantee — the
-// segment boundary invariant (a ToR's valley-free path counts depend only on
-// links in its own segment) means shard-local Apply/Revert deltas are exact,
-// and per-segment accounting makes every float accumulate in the same order
-// no matter how segments are packed into shards.
+// event sequence, Snapshot output is byte-identical for any worker count
+// and any flush batching. Shard-locality makes that cheap to guarantee —
+// the segment boundary invariant (a ToR's valley-free path counts depend
+// only on links in its own segment) means shard-local Apply/Revert deltas
+// are exact, each unit's penalty sum accumulates in its own event order,
+// and the supervisor sums units in a fixed order.
 package fleet
 
 import (
@@ -43,13 +44,6 @@ type DCN struct {
 
 // Config parameterizes a Supervisor.
 type Config struct {
-	// Shards is the target number of shards across the whole fleet. It is
-	// approximate: shards never span DCNs and never split a segment, so
-	// each DCN gets a proportional share of at least one. Zero or
-	// negative means one shard per segment (maximum parallelism). The
-	// shard count is a packing knob only — Snapshot output is
-	// byte-identical for every value.
-	Shards int
 	// Workers bounds the Flush fan-out; zero or negative means
 	// runtime.NumCPU. Byte-identical output for every value.
 	Workers int
@@ -62,9 +56,8 @@ type Config struct {
 	// Penalty scores a corrupting link left enabled. Defaults to
 	// core.LinearPenalty.
 	Penalty core.PenaltyFunc
-	// Optimizer tunes the per-shard segment optimizers. Workers is
-	// forced to 1: parallelism lives at the shard fan-out, not inside a
-	// segment solve.
+	// Optimizer tunes the per-shard optimizers. Workers is forced to 1:
+	// parallelism lives at the shard fan-out, not inside a segment solve.
 	Optimizer core.OptimizerConfig
 	// ServiceTime and Technicians configure the global ticket queue (see
 	// tickets.QueueConfig); zero values take that package's defaults.
@@ -108,7 +101,7 @@ type Event struct {
 	Rate float64 // worst-direction corruption rate; ignored for Repair
 }
 
-// Supervisor owns a fleet of per-segment shards and every cross-segment
+// Supervisor owns a fleet of per-unit shards and every cross-segment
 // invariant. Methods must not be called concurrently; the parallelism is
 // internal to Flush.
 type Supervisor struct {
@@ -179,44 +172,27 @@ func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 
 	// Partition every distinct topology once. A plain slice scan keeps
 	// the memo deterministic and cheap: fleets have few distinct shapes.
-	parts := newPartCache()
-	totalUnits := 0
+	var parts partCache
 	for i := range s.dcns {
 		p, err := parts.get(s.dcns[i].Topo)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
 		}
-		totalUnits += len(p.units)
-		base := int64(0)
 		if i > 0 {
-			base = s.linkBase[i-1] + int64(s.dcns[i-1].Topo.NumLinks())
+			s.linkBase[i] = s.linkBase[i-1] + int64(s.dcns[i-1].Topo.NumLinks())
 		}
-		s.linkBase[i] = base
 		s.links += s.dcns[i].Topo.NumLinks()
 		s.tors += len(s.dcns[i].Topo.ToRs())
 		s.segments += len(p.segs)
-	}
 
-	globalSeg := 0
-	for i := range s.dcns {
-		p, err := parts.get(s.dcns[i].Topo)
-		if err != nil {
-			return nil, err
-		}
-		target := dcnShardTarget(cfg.Shards, len(p.units), totalUnits)
-		built, err := parts.shards(s.dcns[i].Topo, target)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
-		}
 		lo := len(s.shards)
 		s.shardOf[i] = make([]int32, s.dcns[i].Topo.NumLinks())
 		s.localOf[i] = make([]topology.LinkID, s.dcns[i].Topo.NumLinks())
-		for _, bs := range built {
-			sh, err := newShard(i, bs, &cfg, globalSeg)
+		for _, u := range p.units {
+			sh, err := newShard(i, u, &cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
 			}
-			globalSeg += len(sh.segs)
 			idx := len(s.shards)
 			s.shards = append(s.shards, sh)
 			for local, src := range sh.sub.Links {
@@ -229,27 +205,9 @@ func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 	return s, nil
 }
 
-// dcnShardTarget apportions the fleet-wide shard budget to one DCN with
-// units packable segment-groups out of totalUnits fleet-wide. Zero or
-// negative budget, or a budget at least the unit count, means one shard per
-// unit.
-func dcnShardTarget(budget, units, totalUnits int) int {
-	if budget <= 0 {
-		return units
-	}
-	share := budget * units / totalUnits
-	if share < 1 {
-		share = 1
-	}
-	if share > units {
-		share = units
-	}
-	return share
-}
-
 // Route validates ev and queues it on the owning shard. Events must arrive
 // in nondecreasing At order; the assigned sequence number is what keeps
-// decision merging byte-identical across shard and worker counts.
+// decision merging byte-identical across worker counts.
 //
 //lint:hotpath per-event fleet ingress (BenchmarkFleetRoute floor)
 func (s *Supervisor) Route(ev Event) error {
@@ -265,9 +223,9 @@ func (s *Supervisor) Route(ev Event) error {
 		//lint:allow hotalloc error construction on the reject path only
 		return fmt.Errorf("fleet: unknown event kind %d", ev.Kind)
 	}
-	if ev.Rate < 0 {
+	if !core.ValidRate(ev.Rate) {
 		//lint:allow hotalloc error construction on the reject path only
-		return fmt.Errorf("fleet: negative corruption rate %g", ev.Rate)
+		return fmt.Errorf("fleet: invalid corruption rate %g", ev.Rate)
 	}
 	sh := s.shards[s.shardOf[ev.DCN][ev.Link]]
 	//lint:allow hotalloc append into per-shard pending buffer, steady capacity after warmup
@@ -313,7 +271,7 @@ func (s *Supervisor) Flush() error {
 	// Merge shard decisions back into the global event order: seq is the
 	// routing order, ord the per-event decision order, and every event
 	// belongs to exactly one shard, so (seq, ord) is a total order that
-	// no shard packing or worker schedule can perturb.
+	// no worker schedule can perturb.
 	merged := s.mergeBuf[:0]
 	for _, sh := range s.shards {
 		merged = append(merged, sh.decisions...)
@@ -362,7 +320,7 @@ func (s *Supervisor) Disabled(dcn int) []topology.LinkID {
 	var out []topology.LinkID
 	lo, hi := s.dcnShards[dcn][0], s.dcnShards[dcn][1]
 	for _, sh := range s.shards[lo:hi] {
-		sh.net.DisabledLinks().Each(func(l topology.LinkID) {
+		sh.eng.Network().DisabledLinks().Each(func(l topology.LinkID) {
 			out = append(out, sh.sub.Links[l])
 		})
 	}
@@ -371,14 +329,11 @@ func (s *Supervisor) Disabled(dcn int) []topology.LinkID {
 }
 
 // PenaltySum is the fleet-wide §5 penalty of corrupting links left enabled,
-// aggregated from the per-segment accumulators in global segment order so
-// the float is identical for every shard packing.
+// aggregated from the per-unit sums in shard order.
 func (s *Supervisor) PenaltySum() float64 {
 	sum := 0.0
 	for _, sh := range s.shards {
-		for i := range sh.segs {
-			sum += sh.segs[i].penalty
-		}
+		sum += sh.penalty
 	}
 	return sum
 }
@@ -390,20 +345,19 @@ func (s *Supervisor) Headroom() (minFrac, meanFrac float64, violated int) {
 	minFrac = 1.0
 	sum := 0.0
 	for _, sh := range s.shards {
-		counts, total := sh.net.PathCounter().IncCounts(), sh.net.PathCounter().Total()
-		for i := range sh.segs {
-			for _, tor := range sh.segs[i].tors {
-				frac := 1.0
-				if total[tor] > 0 {
-					frac = float64(counts[tor]) / float64(total[tor])
-				}
-				if frac < minFrac {
-					minFrac = frac
-				}
-				sum += frac
-				if frac+constraintSlack < s.cfg.Capacity {
-					violated++
-				}
+		pc := sh.eng.Network().PathCounter()
+		counts, total := pc.IncCounts(), pc.Total()
+		for _, tor := range sh.sub.Topo.ToRs() {
+			frac := 1.0
+			if total[tor] > 0 {
+				frac = float64(counts[tor]) / float64(total[tor])
+			}
+			if frac < minFrac {
+				minFrac = frac
+			}
+			sum += frac
+			if frac+constraintSlack < s.cfg.Capacity {
+				violated++
 			}
 		}
 	}
@@ -428,8 +382,8 @@ type DCNStat struct {
 }
 
 // Snapshot is a deterministic summary of the fleet's state. It contains no
-// shard- or worker-count-dependent fields: the segment count is a property
-// of the topologies, and every float aggregates in global segment order.
+// worker-count-dependent fields: the segment count is a property of the
+// topologies, and every float aggregates in shard order.
 type Snapshot struct {
 	DCNs, Links, ToRs, Segments int
 
@@ -482,11 +436,9 @@ func (s *Supervisor) Snapshot() Snapshot {
 		st.Cleared = s.perDCN[i].cleared
 		lo, hi := s.dcnShards[i][0], s.dcnShards[i][1]
 		for _, sh := range s.shards[lo:hi] {
-			st.Segments += len(sh.segs)
-			st.DisabledNow += sh.net.NumDisabled()
-			for j := range sh.segs {
-				st.Penalty += sh.segs[j].penalty
-			}
+			st.Segments += sh.segments
+			st.DisabledNow += sh.eng.Network().NumDisabled()
+			st.Penalty += sh.penalty
 		}
 		snap.DisabledNow += st.DisabledNow
 		snap.PenaltySum += st.Penalty

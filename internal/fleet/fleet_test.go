@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -63,10 +64,13 @@ func synthesizeEvents(dcns []DCN, seed uint64, n int) []Event {
 	return evs
 }
 
-func runFleet(t testing.TB, dcns []DCN, evs []Event, shards, workers, batch int) (*Supervisor, Snapshot) {
-	sup, err := New(dcns, Config{Shards: shards, Workers: workers, Capacity: 0.5})
+// runFleet replays evs in batches, flushing after each. With
+// snapshotEvery set it also takes a Snapshot after every Flush, which must
+// not perturb the final state.
+func runFleet(t testing.TB, dcns []DCN, evs []Event, workers, batch int, snapshotEvery bool) (*Supervisor, Snapshot) {
+	sup, err := New(dcns, Config{Workers: workers, Capacity: 0.5})
 	if err != nil {
-		t.Fatalf("New(shards=%d): %v", shards, err)
+		t.Fatalf("New: %v", err)
 	}
 	for lo := 0; lo < len(evs); lo += batch {
 		hi := min(lo+batch, len(evs))
@@ -76,38 +80,45 @@ func runFleet(t testing.TB, dcns []DCN, evs []Event, shards, workers, batch int)
 		if err := sup.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
 		}
+		if snapshotEvery {
+			_ = sup.Snapshot()
+		}
 	}
 	return sup, sup.Snapshot()
 }
 
 // TestFleetMatchesSerial is the headline differential: for a fixed event
 // stream, the snapshot — counters, tickets, floats, per-DCN rows — is
-// byte-identical for every shard count, worker count, and flush batching.
+// byte-identical for every worker count and flush batching, and reading
+// snapshots mid-stream leaves the final one unchanged.
 func TestFleetMatchesSerial(t *testing.T) {
 	dcns := testFleetTopos(t)
 	evs := synthesizeEvents(dcns, 42, 4000)
 
-	_, ref := runFleet(t, dcns, evs, 1, 1, len(evs))
+	_, ref := runFleet(t, dcns, evs, 1, len(evs), false)
 	if ref.Disabled == 0 || ref.Blocked == 0 || ref.ReoptDisabled == 0 || ref.Cleared == 0 {
 		t.Fatalf("stream does not exercise all decision paths: %+v", ref)
 	}
 	refStr := ref.String()
 
-	for _, tc := range []struct{ shards, workers, batch int }{
-		{0, 1, 4000},  // one shard per segment, serial drain
-		{0, 8, 512},   // max sharding, 8 workers, small batches
-		{2, 3, 4000},  // fewer shards than DCNs is clamped to one per DCN
-		{5, 2, 1000},  // mid packing
-		{1000, 4, 64}, // over-asking degrades to per-segment
+	for _, tc := range []struct {
+		workers, batch int
+		snapshotEvery  bool
+	}{
+		{8, 512, false}, // 8 workers, small batches
+		{3, 4000, false},
+		{2, 1000, false},
+		{4, 64, false},
+		{2, 7, true}, // a snapshot read after every Flush
 	} {
-		_, got := runFleet(t, dcns, evs, tc.shards, tc.workers, tc.batch)
+		_, got := runFleet(t, dcns, evs, tc.workers, tc.batch, tc.snapshotEvery)
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d workers=%d batch=%d: snapshot diverged\n got: %+v\nwant: %+v",
-				tc.shards, tc.workers, tc.batch, got, ref)
+			t.Errorf("workers=%d batch=%d snapshotEvery=%v: snapshot diverged\n got: %+v\nwant: %+v",
+				tc.workers, tc.batch, tc.snapshotEvery, got, ref)
 		}
 		if s := got.String(); s != refStr {
-			t.Errorf("shards=%d workers=%d batch=%d: rendering diverged\n got:\n%s\nwant:\n%s",
-				tc.shards, tc.workers, tc.batch, s, refStr)
+			t.Errorf("workers=%d batch=%d snapshotEvery=%v: rendering diverged\n got:\n%s\nwant:\n%s",
+				tc.workers, tc.batch, tc.snapshotEvery, s, refStr)
 		}
 	}
 }
@@ -120,7 +131,7 @@ func TestFleetMatchesSerial(t *testing.T) {
 func TestFleetInvariants(t *testing.T) {
 	dcns := testFleetTopos(t)
 	evs := synthesizeEvents(dcns, 7, 3000)
-	sup, snap := runFleet(t, dcns, evs, 0, 4, 700)
+	sup, snap := runFleet(t, dcns, evs, 4, 700, false)
 
 	// Shadow state from the event stream: last reported rate per link.
 	rates := make([]map[topology.LinkID]float64, len(dcns))
@@ -202,6 +213,8 @@ func TestFleetRouteErrors(t *testing.T) {
 		{DCN: 0, Link: topology.LinkID(dcns[0].Topo.NumLinks()), Kind: Corruption, Rate: 1e-5},
 		{DCN: 0, Link: 0, Kind: EventKind(9), Rate: 1e-5},
 		{DCN: 0, Link: 0, Kind: Corruption, Rate: -1},
+		{DCN: 0, Link: 0, Kind: Corruption, Rate: math.NaN()},
+		{DCN: 0, Link: 0, Kind: Corruption, Rate: math.Inf(1)},
 	} {
 		if err := sup.Route(ev); err == nil {
 			t.Errorf("Route(%+v) accepted, want error", ev)
@@ -218,32 +231,31 @@ func TestFleetRouteErrors(t *testing.T) {
 	}
 }
 
-// TestFleetShardPacking checks the packing layer directly: shards never
-// span DCNs, cover every link exactly once, and respect the target roughly.
+// TestFleetShardPacking checks the unit layer directly: shards never span
+// DCNs, and every link is covered exactly once.
 func TestFleetShardPacking(t *testing.T) {
 	dcns := testFleetTopos(t)
-	for _, shards := range []int{0, 1, 3, 5, 7, 100} {
-		sup, err := New(dcns, Config{Shards: shards})
-		if err != nil {
-			t.Fatalf("New(shards=%d): %v", shards, err)
-		}
-		if shards <= 0 || shards >= sup.segments {
-			if got := len(sup.shards); got != sup.segments {
-				t.Errorf("shards=%d: got %d shards, want one per segment (%d)", shards, got, sup.segments)
+	sup, err := New(dcns, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for i, d := range dcns {
+		lo, hi := sup.dcnShards[i][0], sup.dcnShards[i][1]
+		owner := make([]int, d.Topo.NumLinks())
+		for j, sh := range sup.shards[lo:hi] {
+			if sh.dcn != i {
+				t.Fatalf("shard of DCN %d inside DCN %d's range", sh.dcn, i)
 			}
-		}
-		for i, d := range dcns {
-			lo, hi := sup.dcnShards[i][0], sup.dcnShards[i][1]
-			covered := 0
-			for _, sh := range sup.shards[lo:hi] {
-				if sh.dcn != i {
-					t.Fatalf("shards=%d: shard of DCN %d inside DCN %d's range", shards, sh.dcn, i)
+			for _, src := range sh.sub.Links {
+				if owner[src] != 0 {
+					t.Errorf("DCN %s link %d covered by shards %d and %d", d.Name, src, owner[src]-1, j)
 				}
-				covered += sh.sub.Topo.NumLinks()
+				owner[src] = j + 1
 			}
-			if covered != d.Topo.NumLinks() {
-				t.Errorf("shards=%d DCN %s: shards cover %d links, topology has %d",
-					shards, d.Name, covered, d.Topo.NumLinks())
+		}
+		for l, o := range owner {
+			if o == 0 {
+				t.Errorf("DCN %s link %d covered by no shard", d.Name, l)
 			}
 		}
 	}

@@ -2,49 +2,34 @@ package fleet
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 	"time"
 
 	"corropt/internal/core"
 	"corropt/internal/topology"
 )
 
-// shard owns one sub-topology — a union of whole cone-closed segments of one
-// DCN — and every piece of controller state for it: the Network with its
-// incremental path counter, a FastChecker for the corruption-event fast
-// path, and a segment-scoped Optimizer for re-optimizing freed capacity
-// after repairs. drain runs on a worker pool but touches shard-local state
-// only; the supervisor serializes everything that crosses shards.
+// shard owns one unit of a DCN — a ToR-bearing segment plus any ToR-less
+// segments glued to it — and every piece of controller state for it: a
+// core.Engine over the unit's standalone sub-topology, whose Network keeps
+// the incremental path counter and, with the penalty function registered,
+// the unit's running penalty sum. drain runs on a worker pool but touches
+// shard-local state only; the supervisor serializes everything that crosses
+// shards.
 type shard struct {
-	dcn int
-	sub *topology.SegmentGraph
-	net *core.Network
-	fc  *core.FastChecker
-	opt *core.Optimizer
+	dcn      int
+	segments int // atomic segments in the unit
+	sub      *topology.SegmentGraph
+	eng      *core.Engine
 
-	threshold float64
-	penalty   core.PenaltyFunc
-
-	// segOf maps a local link to its index in segs. Per-segment penalty
-	// accounting is what makes the fleet-wide penalty sum shard-packing
-	// invariant: each float accumulates per atomic segment in event
-	// order, and the supervisor sums segments in global order.
-	segOf []int32
-	segs  []segState
+	// penalty is the unit's PenaltySum as read after its last drained
+	// event. Reading after every event makes the Network's exact-rebuild
+	// points a function of the event stream alone, never of when a
+	// snapshot happens to be taken.
+	penalty float64
 
 	pending   []shardEvent
 	decisions []decision
 	stats     shardStats
-}
-
-// segState is the controller state of one atomic segment within a shard.
-type segState struct {
-	global  int                 // fleet-wide segment index
-	links   *topology.LinkSet   // local link ids
-	tors    []topology.SwitchID // local ToR ids, ascending
-	penalty float64
-	ops     int // float ops since the last exact rebuild
 }
 
 // shardEvent is a routed event in shard-local coordinates, tagged with the
@@ -68,7 +53,7 @@ const (
 // decision is one cross-shard controller action: (seq, ord) is a total
 // order — seq is the triggering event's routing order, ord the decision's
 // index within that event — so merged decisions are identical for every
-// shard packing and worker schedule.
+// worker schedule.
 type decision struct {
 	seq  uint64
 	ord  int32
@@ -93,147 +78,66 @@ func (a *shardStats) add(b shardStats) {
 	a.cleared += b.cleared
 }
 
-// newShard builds the controller state for one packed shard. segBase is the
-// fleet-wide index of the shard's first segment.
-func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error) {
-	net, err := core.NewNetwork(bs.sub.Topo, cfg.Capacity)
+// newShard builds the controller state for one unit of DCN dcn.
+func newShard(dcn int, u *builtUnit, cfg *Config) (*shard, error) {
+	net, err := core.NewNetwork(u.sub.Topo, cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
-	sh := &shard{
-		dcn:       dcn,
-		sub:       bs.sub,
-		net:       net,
-		fc:        core.NewFastChecker(net),
-		opt:       core.NewOptimizer(net, cfg.Penalty, cfg.Optimizer),
-		threshold: cfg.Threshold,
-		penalty:   cfg.Penalty,
-		segOf:     make([]int32, bs.sub.Topo.NumLinks()),
-		segs:      make([]segState, len(bs.segs)),
-	}
-	for si, seg := range bs.segs {
-		st := &sh.segs[si]
-		st.global = segBase + si
-		st.links = topology.NewLinkSet(bs.sub.Topo.NumLinks())
-		for _, src := range seg.Links {
-			local, ok := slices.BinarySearch(sh.sub.Links, src)
-			if !ok {
-				return nil, fmt.Errorf("fleet: segment link %d missing from shard sub-topology", src)
-			}
-			st.links.Add(topology.LinkID(local))
-			sh.segOf[local] = int32(si)
-		}
-		for _, srcTor := range seg.ToRs {
-			local, ok := slices.BinarySearch(sh.sub.Switches, srcTor)
-			if !ok {
-				return nil, fmt.Errorf("fleet: segment ToR %d missing from shard sub-topology", srcTor)
-			}
-			st.tors = append(st.tors, topology.SwitchID(local))
-		}
-	}
-	return sh, nil
+	net.RegisterPenalty(cfg.Penalty)
+	return &shard{
+		dcn:      dcn,
+		segments: u.segments,
+		sub:      u.sub,
+		eng: core.NewEngine(net, core.EngineConfig{
+			DetectionThreshold: cfg.Threshold,
+			Penalty:            cfg.Penalty,
+			Optimizer:          cfg.Optimizer,
+		}),
+	}, nil
 }
 
 // drain processes the shard's pending events in routed order. Corruption
-// events take the FastChecker path (one incremental feasibility probe);
-// repairs re-enable the link and re-optimize the owning segment with the
-// scoped optimizer. All decisions that cross the shard — ticket opens and
-// resolves — are buffered for the supervisor's ordered merge.
+// events are engine reports (one incremental fast-check probe); a repair of
+// a link the controller had disabled re-enables it and lets the engine
+// re-optimize the unit. Every decision that crosses the shard — ticket
+// opens and resolves — is buffered for the supervisor's ordered merge.
 func (sh *shard) drain() {
+	net := sh.eng.Network()
 	for i := range sh.pending {
 		ev := &sh.pending[i]
-		seg := &sh.segs[sh.segOf[ev.link]]
 		ord := int32(0)
 		switch ev.kind {
 		case Corruption:
 			sh.stats.corruptions++
-			sh.setRate(seg, ev.link, ev.rate)
-			if ev.rate >= sh.threshold && !sh.net.Disabled(ev.link) {
-				if sh.fc.DisableIfSafe(ev.link) {
-					sh.onDisabled(seg, ev.link)
-					sh.stats.disabled++
-					sh.emit(ev, &ord, ev.link, actDisable)
-				} else {
-					sh.stats.blocked++
-				}
+			switch sh.eng.Report(ev.link, ev.rate) {
+			case core.NewlyDisabled:
+				sh.stats.disabled++
+				sh.emit(ev, &ord, ev.link, actDisable)
+			case core.Blocked:
+				sh.stats.blocked++
 			}
 		case Repair:
 			sh.stats.repairs++
-			sh.setRate(seg, ev.link, 0)
-			if !sh.net.Disabled(ev.link) {
+			if !net.Disabled(ev.link) {
 				// The controller never took the link down; the repair
 				// just clears its corruption.
+				net.SetCorruption(ev.link, 0)
 				sh.stats.cleared++
-				continue
+				break
 			}
-			// Re-enabling a repaired (rate-zero) link adds no penalty
-			// contribution, so no accounting entry is needed here.
-			sh.net.Enable(ev.link)
 			sh.emit(ev, &ord, ev.link, actRepair)
 			// The repair freed capacity: links the constraint previously
-			// blocked may be safe to take down now. Segment-scoped by the
-			// boundary invariant — no other segment's counts moved.
-			chosen, _ := sh.opt.RunScoped(sh.threshold, seg.links, seg.tors)
-			for _, cl := range chosen {
-				sh.onDisabled(seg, cl)
+			// blocked may be safe to take down now. Unit-local by the
+			// segment boundary invariant — no other unit's counts moved.
+			for _, cl := range sh.eng.LinkRepaired(ev.link) {
 				sh.stats.reoptDisabled++
 				sh.emit(ev, &ord, cl, actDisable)
 			}
 		}
+		sh.penalty = net.PenaltySum()
 	}
 	sh.pending = sh.pending[:0]
-}
-
-// setRate updates a link's corruption rate and its penalty contribution.
-func (sh *shard) setRate(seg *segState, l topology.LinkID, rate float64) {
-	old := sh.contrib(l)
-	sh.net.SetCorruption(l, rate)
-	sh.bump(seg, old, sh.contrib(l))
-}
-
-// onDisabled records the penalty a just-disabled corrupting link no longer
-// incurs. Must be called after the network state change.
-func (sh *shard) onDisabled(seg *segState, l topology.LinkID) {
-	if r := sh.net.CorruptionRate(l); r > 0 {
-		sh.bump(seg, sh.penalty(r), 0)
-	}
-}
-
-// contrib is l's current penalty contribution: corrupting links incur their
-// penalty only while enabled.
-func (sh *shard) contrib(l topology.LinkID) float64 {
-	if r := sh.net.CorruptionRate(l); r > 0 && !sh.net.Disabled(l) {
-		return sh.penalty(r)
-	}
-	return 0
-}
-
-// segRebuildEvery bounds float drift: after this many incremental penalty
-// updates a segment re-sums exactly, in ascending link order. The trigger
-// count is a pure function of the segment's event sequence, so rebuild
-// points — and therefore the float value — are shard-packing invariant.
-const segRebuildEvery = 1024
-
-func (sh *shard) bump(seg *segState, old, new float64) {
-	if old == new {
-		return
-	}
-	seg.penalty += new - old
-	seg.ops++
-	if seg.ops >= segRebuildEvery {
-		// Walk the bitset word-by-word (ascending link order, same terms as
-		// Each) so the amortized exact re-sum stays closure-free on the
-		// per-event path.
-		sum := 0.0
-		for wi, w := range seg.links.Words() {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				sum += sh.contrib(topology.LinkID(wi*64 + b))
-				w &= w - 1
-			}
-		}
-		seg.penalty, seg.ops = sum, 0
-	}
 }
 
 func (sh *shard) emit(ev *shardEvent, ord *int32, local topology.LinkID, act action) {
@@ -248,34 +152,27 @@ func (sh *shard) emit(ev *shardEvent, ord *int32, local topology.LinkID, act act
 	*ord++
 }
 
-// partEntry caches one distinct topology's partition, its packable units
-// (segments with ToR-less orphans glued to a neighbor so every unit can
-// anchor a valid sub-topology), and materialized shard sets per target
-// count.
+// builtUnit is one unit's sub-topology before controller state is attached.
+type builtUnit struct {
+	sub      *topology.SegmentGraph
+	segments int
+}
+
+// partEntry caches one distinct topology's partition and its units:
+// segments with ToR-less orphans glued to a neighbor, so every unit can
+// anchor a valid sub-topology.
 type partEntry struct {
 	topo  *topology.Topology
 	segs  []topology.Segment
-	units [][]int // unit → segment indices, in global segment order
-
-	targets []int
-	builds  [][]*builtShard
+	units []*builtUnit
 }
 
-// builtShard is one packed shard before controller state is attached: its
-// sub-topology and the source-id segments it owns, in global order.
-type builtShard struct {
-	sub  *topology.SegmentGraph
-	segs []topology.Segment
-}
-
-// partCache memoizes partitions and shard materializations by topology
+// partCache memoizes partitions and unit sub-topologies by topology
 // pointer: fleets commonly replicate a few shapes many times, and the
-// per-shard Networks are the only state that must be per-DCN.
+// per-unit Networks are the only state that must be per-DCN.
 type partCache struct {
 	entries []*partEntry
 }
-
-func newPartCache() *partCache { return &partCache{} }
 
 func (c *partCache) get(topo *topology.Topology) (*partEntry, error) {
 	for _, e := range c.entries {
@@ -287,93 +184,29 @@ func (c *partCache) get(topo *topology.Topology) (*partEntry, error) {
 		return nil, fmt.Errorf("fleet: topology has no links")
 	}
 	segs := topo.Partition()
-	var units [][]int
-	for si := range segs {
-		if len(segs[si].ToRs) == 0 && len(units) > 0 {
-			units[len(units)-1] = append(units[len(units)-1], si)
+	var groups [][]topology.Segment
+	for _, seg := range segs {
+		if len(seg.ToRs) == 0 && len(groups) > 0 {
+			groups[len(groups)-1] = append(groups[len(groups)-1], seg)
 			continue
 		}
-		units = append(units, []int{si})
+		groups = append(groups, []topology.Segment{seg})
 	}
-	for len(units) > 1 && len(segs[units[0][0]].ToRs) == 0 {
-		units[1] = append(units[0], units[1]...)
-		units = units[1:]
+	for len(groups) > 1 && len(groups[0][0].ToRs) == 0 {
+		groups[1] = append(groups[0], groups[1]...)
+		groups = groups[1:]
 	}
-	if len(segs[units[0][0]].ToRs) == 0 {
+	if len(groups[0][0].ToRs) == 0 {
 		return nil, fmt.Errorf("fleet: topology has no ToR-bearing segments")
 	}
-	e := &partEntry{topo: topo, segs: segs, units: units}
-	c.entries = append(c.entries, e)
-	return e, nil
-}
-
-// shards materializes (or returns the memoized) packed shard set for the
-// given per-DCN target count.
-func (c *partCache) shards(topo *topology.Topology, target int) ([]*builtShard, error) {
-	e, err := c.get(topo)
-	if err != nil {
-		return nil, err
-	}
-	for i, t := range e.targets {
-		if t == target {
-			return e.builds[i], nil
-		}
-	}
-	bins := packUnits(e, target)
-	out := make([]*builtShard, 0, len(bins))
-	for _, bin := range bins {
-		segsIn := make([]topology.Segment, len(bin))
-		for j, si := range bin {
-			segsIn[j] = e.segs[si]
-		}
-		sub, err := topo.SegmentGraph(segsIn)
+	e := &partEntry{topo: topo, segs: segs, units: make([]*builtUnit, len(groups))}
+	for i, g := range groups {
+		sub, err := topo.SegmentGraph(g)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &builtShard{sub: sub, segs: segsIn})
+		e.units[i] = &builtUnit{sub: sub, segments: len(g)}
 	}
-	e.targets = append(e.targets, target)
-	e.builds = append(e.builds, out)
-	return out, nil
-}
-
-// packUnits chunks the units into target contiguous bins balanced by link
-// count. Bins respect unit boundaries (a unit is never split) and every bin
-// gets at least one unit.
-func packUnits(e *partEntry, target int) [][]int {
-	if target >= len(e.units) {
-		bins := make([][]int, len(e.units))
-		for i, u := range e.units {
-			bins[i] = u
-		}
-		return bins
-	}
-	unitLinks := func(u []int) int {
-		n := 0
-		for _, si := range u {
-			n += len(e.segs[si].Links)
-		}
-		return n
-	}
-	rem := 0
-	for _, u := range e.units {
-		rem += unitLinks(u)
-	}
-	bins := make([][]int, 0, target)
-	var cur []int
-	acc := 0
-	for ui, u := range e.units {
-		cur = append(cur, u...)
-		acc += unitLinks(u)
-		unitsLeft := len(e.units) - ui - 1
-		binsLeft := target - len(bins) - 1
-		if binsLeft > 0 && unitsLeft > 0 &&
-			(unitsLeft == binsLeft || float64(acc) >= float64(rem)/float64(binsLeft+1)) {
-			bins = append(bins, cur)
-			cur = nil
-			rem -= acc
-			acc = 0
-		}
-	}
-	return append(bins, cur)
+	c.entries = append(c.entries, e)
+	return e, nil
 }

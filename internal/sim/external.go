@@ -143,7 +143,7 @@ func (s *Sim) releaseDampened(l topology.LinkID, now time.Duration) {
 		return
 	}
 	s.net.Enable(l)
-	for _, nl := range s.pol.onActivation() {
+	for _, nl := range s.pol.Sweep(s.cfg.DetectionThreshold) {
 		s.result.LinksDisabled++
 		s.openTicket(nl, now)
 	}

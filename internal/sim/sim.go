@@ -202,47 +202,21 @@ type Result struct {
 	DampenedHolds int
 }
 
-// policy abstracts the three strategies behind a uniform interface.
+// policy is the shape every link-disabling strategy shares:
+// *core.SwitchLocal, *core.FastChecker and *core.Engine satisfy it as they
+// are.
 type policy interface {
-	// tryDisable attempts to disable l, returning success.
-	tryDisable(l topology.LinkID) bool
-	// onActivation is invoked after a link was re-enabled; it returns any
-	// additional links disabled in response.
-	onActivation() []topology.LinkID
+	// DisableIfSafe attempts to disable l, returning success.
+	DisableIfSafe(l topology.LinkID) bool
+	// Sweep is invoked after a link was re-enabled; it returns any
+	// additional links at or above threshold disabled in response.
+	Sweep(threshold float64) []topology.LinkID
 }
 
 type nonePolicy struct{}
 
-func (nonePolicy) tryDisable(topology.LinkID) bool { return false }
-func (nonePolicy) onActivation() []topology.LinkID { return nil }
-
-type switchLocalPolicy struct {
-	sl        *core.SwitchLocal
-	threshold float64
-}
-
-func (p *switchLocalPolicy) tryDisable(l topology.LinkID) bool { return p.sl.DisableIfSafe(l) }
-func (p *switchLocalPolicy) onActivation() []topology.LinkID   { return p.sl.Sweep(p.threshold) }
-
-type fastOnlyPolicy struct {
-	fc        *core.FastChecker
-	threshold float64
-}
-
-func (p *fastOnlyPolicy) tryDisable(l topology.LinkID) bool { return p.fc.DisableIfSafe(l) }
-func (p *fastOnlyPolicy) onActivation() []topology.LinkID   { return p.fc.Sweep(p.threshold) }
-
-type corrOptPolicy struct {
-	fc        *core.FastChecker
-	opt       *core.Optimizer
-	threshold float64
-}
-
-func (p *corrOptPolicy) tryDisable(l topology.LinkID) bool { return p.fc.DisableIfSafe(l) }
-func (p *corrOptPolicy) onActivation() []topology.LinkID {
-	disabled, _ := p.opt.Run(p.threshold)
-	return disabled
-}
+func (nonePolicy) DisableIfSafe(topology.LinkID) bool { return false }
+func (nonePolicy) Sweep(float64) []topology.LinkID    { return nil }
 
 // Sim is one configured simulation.
 type Sim struct {
@@ -362,14 +336,16 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 		if err != nil {
 			return nil, err
 		}
-		s.pol = &switchLocalPolicy{sl: sl, threshold: cfg.DetectionThreshold}
-	case PolicyFastOnly:
-		s.pol = &fastOnlyPolicy{fc: core.NewFastChecker(s.net), threshold: cfg.DetectionThreshold}
-	case PolicyCorrOpt:
-		s.pol = &corrOptPolicy{
-			fc:        core.NewFastChecker(s.net),
-			opt:       core.NewOptimizer(s.net, cfg.Penalty, cfg.Optimizer),
-			threshold: cfg.DetectionThreshold,
+		s.pol = sl
+	case PolicyFastOnly, PolicyCorrOpt:
+		eng := core.NewEngine(s.net, core.EngineConfig{
+			DetectionThreshold: cfg.DetectionThreshold,
+			Penalty:            cfg.Penalty,
+			Optimizer:          cfg.Optimizer,
+		})
+		s.pol = eng
+		if cfg.Policy == PolicyFastOnly {
+			s.pol = eng.FastChecker()
 		}
 	default:
 		return nil, fmt.Errorf("sim: unknown policy %v", cfg.Policy)
@@ -480,7 +456,7 @@ func (s *Sim) detect(l topology.LinkID, now time.Duration) {
 	if s.cfg.Dampening != nil {
 		s.noteFlap(l, now)
 	}
-	if s.pol.tryDisable(l) {
+	if s.pol.DisableIfSafe(l) {
 		s.result.LinksDisabled++
 		s.openTicket(l, now)
 	} else {
@@ -604,7 +580,7 @@ func (s *Sim) completeRepair(tk *tickets.Ticket, now time.Duration) {
 	// A real activation: the policy may now disable other corrupting
 	// links that previously had to stay up.
 	s.net.Enable(l)
-	for _, nl := range s.pol.onActivation() {
+	for _, nl := range s.pol.Sweep(s.cfg.DetectionThreshold) {
 		s.result.LinksDisabled++
 		s.openTicket(nl, now)
 	}
