@@ -145,6 +145,53 @@ func BenchmarkOptimizer(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizerContested measures one link activation at the shape of
+// the end-to-end repair_churn workload: the medium DCN at c = 0.75,
+// preloaded with seeded faults until 1,200 links are active and
+// corrupting, so most of the fabric's ToRs are endangered and the
+// optimizer's pruning and segmentation dominate its run. Each iteration
+// enables the longest-disabled link (its corruption kept, so the active
+// set stays that size) and re-runs the optimizer on the same Engine; the
+// links it disables join the back of the queue.
+func BenchmarkOptimizerContested(b *testing.B) {
+	topo, err := experiments.DCN(experiments.ScaleMedium)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := NewNetwork(topo, 0.75)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine := NewEngine(net, EngineConfig{})
+	tech := DefaultTechnologies()[1]
+	inj, err := NewInjector(topo, tech, InjectorConfig{}, 13)
+	if err != nil {
+		b.Fatal(err)
+	}
+	faultState := NewFaultState(topo, tech)
+	var queue []LinkID
+	for net.NumActiveCorrupting(engine.Threshold()) < 1200 {
+		f := inj.NewFault(0)
+		faultState.Apply(f)
+		for _, l := range f.Links() {
+			if engine.Report(l, faultState.WorstRate(l)) == core.NewlyDisabled {
+				queue = append(queue, l)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(queue) == 0 {
+			b.Fatal("no disabled link left to activate")
+		}
+		net.Enable(queue[0])
+		queue = queue[1:]
+		disabled, _ := engine.Reoptimize()
+		queue = append(queue, disabled...)
+	}
+}
+
 // BenchmarkPathCounting measures the O(|V|+|E|) valley-free path count
 // sweep that underlies every capacity check in the legacy full-recount
 // path. The scoped and incremental variants below are its replacements on

@@ -42,7 +42,7 @@ var MutexHeldConfig = []GuardedStruct{
 		Writers: []string{
 			"NewNetwork", "SetToRConstraint", "Disable", "Enable",
 			"SetCorruption", "RegisterPenalty", "PenaltySum",
-			"setContrib", "penaltyOnToggle", "rebuildPenaltySum",
+			"setContrib", "penaltyOnToggle", "refreshContribs", "rebuildPenaltySum",
 			"refreshToR", "refreshToRs", "recomputeViolated", "resetState",
 			"Reset",
 		},

@@ -43,6 +43,10 @@ type Network struct {
 	// healthy links. Disabled links keep their rate so that re-enabling a
 	// still-broken link is visible to the caller.
 	rate []float64
+	// corrupting holds the links with a positive rate, maintained by
+	// SetCorruption, so the active-corrupting scans and exact penalty
+	// rebuilds touch O(#corrupting) links, not O(#links).
+	corrupting *topology.LinkSet
 	// constraint is the per-ToR minimum fraction of valley-free spine
 	// paths that must remain available, indexed by SwitchID (non-ToR
 	// entries unused).
@@ -58,12 +62,10 @@ type Network struct {
 	// that function; contrib[l] caches link l's current contribution
 	// (p(rate[l]) when the link is enabled and corrupting, else 0);
 	// penaltySum is Σ contrib, maintained in O(1) per SetCorruption /
-	// Disable / Enable. corrupting tracks the links with a nonzero recorded
-	// rate so exact rebuilds touch O(#corrupting) links, not O(#links).
+	// Disable / Enable.
 	penalty    PenaltyFunc
 	contrib    []float64
 	penaltySum float64
-	corrupting *topology.LinkSet
 	// penaltyOps counts updates folded into penaltySum since the last
 	// exact rebuild; PenaltySum re-sums the contributions (in link order,
 	// matching the TotalPenalty scan) every penaltyRebuildEvery updates so
@@ -94,6 +96,7 @@ func NewNetwork(topo *topology.Topology, c float64) (*Network, error) {
 		pc:         pc,
 		disabled:   pc.IncDisabled(),
 		rate:       make([]float64, topo.NumLinks()),
+		corrupting: topology.NewLinkSet(topo.NumLinks()),
 		constraint: make([]float64, topo.NumSwitches()),
 		meetsNow:   make([]bool, topo.NumSwitches()),
 	}
@@ -119,6 +122,7 @@ func (n *Network) Reset(c float64) error {
 	n.pc.ResetIncremental(nil)
 	n.numDisabled = 0
 	clear(n.rate)
+	n.corrupting.Clear()
 	clear(n.constraint)
 	for _, tor := range n.topo.ToRs() {
 		n.constraint[tor] = c
@@ -203,13 +207,13 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 		return
 	}
 	n.rate[l] = rate
-	if n.penalty == nil {
-		return
-	}
 	if rate > 0 {
 		n.corrupting.Add(l)
 	} else {
 		n.corrupting.Remove(l)
+	}
+	if n.penalty == nil {
+		return
 	}
 	var c float64
 	if rate > 0 && !n.disabled.Has(l) {
@@ -227,7 +231,7 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 // recomputes the sum from scratch.
 func (n *Network) RegisterPenalty(p PenaltyFunc) {
 	if p == nil {
-		n.penalty, n.contrib, n.corrupting = nil, nil, nil
+		n.penalty, n.contrib = nil, nil
 		n.penaltySum, n.penaltyOps = 0, 0
 		return
 	}
@@ -239,20 +243,7 @@ func (n *Network) RegisterPenalty(p PenaltyFunc) {
 	} else {
 		n.contrib = make([]float64, n.topo.NumLinks())
 	}
-	if n.corrupting != nil {
-		n.corrupting.Clear()
-	} else {
-		n.corrupting = topology.NewLinkSet(n.topo.NumLinks())
-	}
-	for l, r := range n.rate {
-		if r > 0 {
-			n.corrupting.Add(topology.LinkID(l))
-			if !n.disabled.Has(topology.LinkID(l)) {
-				n.contrib[l] = p(r)
-			}
-		}
-	}
-	n.rebuildPenaltySum()
+	n.refreshContribs()
 }
 
 // PenaltyRegistered reports whether an impact function is installed.
@@ -330,6 +321,20 @@ func (n *Network) rebuildPenaltySum() {
 	n.penaltyOps = 0
 }
 
+// refreshContribs recomputes every corrupting link's penalty contribution
+// from its rate and disabled state, then re-sums exactly. The caller has
+// registered a penalty function.
+func (n *Network) refreshContribs() {
+	n.corrupting.Each(func(l topology.LinkID) {
+		var c float64
+		if !n.disabled.Has(l) {
+			c = n.penalty(n.rate[l])
+		}
+		n.contrib[l] = c
+	})
+	n.rebuildPenaltySum()
+}
+
 // CorruptionRate reports the recorded corruption rate of link l.
 func (n *Network) CorruptionRate(l topology.LinkID) float64 { return n.rate[l] }
 
@@ -340,13 +345,15 @@ func (n *Network) ActiveCorrupting(threshold float64) []topology.LinkID {
 }
 
 // AppendActiveCorrupting appends the enabled links whose corruption rate is
-// at or above threshold to dst and returns the extended slice. Callers on
-// hot paths pass a retained buffer (dst[:0]) to avoid re-allocating the set
-// on every optimizer run.
+// at or above threshold to dst, in ascending link order, and returns the
+// extended slice. Callers on hot paths pass a retained buffer (dst[:0]) to
+// avoid re-allocating the set on every optimizer run.
 func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float64) []topology.LinkID {
-	for l := range n.rate {
-		if n.rate[l] >= threshold && !n.disabled.Has(topology.LinkID(l)) {
-			dst = append(dst, topology.LinkID(l))
+	for wi := range n.corrupting.Words() {
+		for w := n.activeCandidates(wi, threshold); w != 0; w &= w - 1 {
+			if l := wi*64 + bits.TrailingZeros64(w); n.rate[l] >= threshold {
+				dst = append(dst, topology.LinkID(l))
+			}
 		}
 	}
 	return dst
@@ -357,12 +364,29 @@ func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float6
 // path and the control-plane status endpoint only need the count.
 func (n *Network) NumActiveCorrupting(threshold float64) int {
 	count := 0
-	for l := range n.rate {
-		if n.rate[l] >= threshold && !n.disabled.Has(topology.LinkID(l)) {
-			count++
+	for wi := range n.corrupting.Words() {
+		for w := n.activeCandidates(wi, threshold); w != 0; w &= w - 1 {
+			if n.rate[wi*64+bits.TrailingZeros64(w)] >= threshold {
+				count++
+			}
 		}
 	}
 	return count
+}
+
+// activeCandidates returns word wi of the enabled links that can meet
+// threshold: the corrupting ones, or every link when a threshold of zero or
+// below admits healthy links too. The active-corrupting scans thus touch
+// O(#links/64 + #corrupting) state rather than every link's rate.
+func (n *Network) activeCandidates(wi int, threshold float64) uint64 {
+	w := n.corrupting.Words()[wi]
+	if !(threshold > 0) {
+		w = ^uint64(0)
+		if rest := len(n.rate) - wi*64; rest < 64 {
+			w = 1<<rest - 1
+		}
+	}
+	return w &^ n.disabled.Words()[wi]
 }
 
 // panicToRRange is pre-converted at package scope for the same reason as
@@ -432,16 +456,8 @@ func (n *Network) resetState(disabled []topology.LinkID) {
 	n.numDisabled = n.disabled.Len()
 	n.recomputeViolated()
 	if n.penalty != nil {
-		// The disabled set changed wholesale: refresh every corrupting
-		// link's contribution, then re-sum exactly.
-		n.corrupting.Each(func(l topology.LinkID) {
-			var c float64
-			if r := n.rate[l]; r > 0 && !n.disabled.Has(l) {
-				c = n.penalty(r)
-			}
-			n.contrib[l] = c
-		})
-		n.rebuildPenaltySum()
+		// The disabled set changed wholesale.
+		n.refreshContribs()
 	}
 }
 

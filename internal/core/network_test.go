@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"math"
+	"slices"
 	"testing"
 
+	"corropt/internal/rngutil"
 	"corropt/internal/topology"
 )
 
@@ -124,6 +128,84 @@ func TestActiveCorrupting(t *testing.T) {
 	active := n.ActiveCorrupting(1e-6)
 	if len(active) != 1 || active[0] != 2 {
 		t.Fatalf("active = %v, want [2]", active)
+	}
+}
+
+// TestActiveCorruptingBitsetScan pins the corrupting &^ disabled walk to a
+// full rate scan through random corruption, toggles, penalty
+// (un)registration, Reset and LoadState, at thresholds that admit only
+// corrupting links and at ones that admit healthy links too.
+func TestActiveCorruptingBitsetScan(t *testing.T) {
+	topo, err := topology.NewClos(topology.ClosConfig{
+		Pods: 3, ToRsPerPod: 6, AggsPerPod: 4, Spines: 16, SpineUplinksPerAgg: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := NewNetwork(topo, 0.5)
+	other, _ := NewNetwork(topo, 0.5)
+	rng := rngutil.New(7)
+	check := func(step int) {
+		t.Helper()
+		corrupting := 0
+		for l := 0; l < topo.NumLinks(); l++ {
+			if n.CorruptionRate(topology.LinkID(l)) > 0 {
+				corrupting++
+			}
+		}
+		if got := n.corrupting.Len(); got != corrupting {
+			t.Fatalf("step %d: corrupting set holds %d links, %d have a positive rate", step, got, corrupting)
+		}
+		for _, th := range []float64{-1, 0, 1e-8, 1e-6, 1e-3} {
+			var want []topology.LinkID
+			for l := 0; l < topo.NumLinks(); l++ {
+				id := topology.LinkID(l)
+				if n.CorruptionRate(id) >= th && !n.Disabled(id) {
+					want = append(want, id)
+				}
+			}
+			if got := n.ActiveCorrupting(th); !slices.Equal(got, want) {
+				t.Fatalf("step %d threshold %v: ActiveCorrupting = %v, scan %v", step, th, got, want)
+			}
+			if got := n.NumActiveCorrupting(th); got != len(want) {
+				t.Fatalf("step %d threshold %v: NumActiveCorrupting = %d, scan %d", step, th, got, len(want))
+			}
+		}
+	}
+	for step := 0; step < 400; step++ {
+		l := topology.LinkID(rng.Intn(topo.NumLinks()))
+		switch op := rng.Intn(20); {
+		case op < 8:
+			n.SetCorruption(l, math.Pow(10, rng.Range(-9, -1)))
+		case op < 10:
+			n.SetCorruption(l, 0)
+		case op < 14:
+			n.Disable(l)
+		case op < 17:
+			n.Enable(l)
+		case op == 17:
+			if rng.Bool(0.5) {
+				n.RegisterPenalty(LinearPenalty)
+			} else {
+				n.RegisterPenalty(nil)
+			}
+		case op == 18:
+			if err := n.Reset(0.5); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			// Round-trip the other network's state onto this one.
+			other.SetCorruption(l, 1e-4)
+			other.Disable(topology.LinkID(rng.Intn(topo.NumLinks())))
+			var buf bytes.Buffer
+			if err := other.SaveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.LoadState(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(step)
 	}
 }
 

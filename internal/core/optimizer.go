@@ -102,16 +102,24 @@ type Optimizer struct {
 	// whole simulation and Run fires on every repair event, so these
 	// buffers amortize what used to be per-Run allocations. None of them
 	// escape Run — the returned disabled list is always freshly allocated.
-	activeBuf    []topology.LinkID
-	appliedBuf   []topology.LinkID
-	violatedBuf  []topology.SwitchID
-	contestedBuf []topology.LinkID
-	safeBuf      []topology.LinkID
-	torUpBuf     []*topology.LinkSet
-	upstreamBuf  *topology.LinkSet
-	affectedBuf  [][]topology.SwitchID
-	parentBuf    []int
-	walker       topology.UpstreamWalker
+	activeBuf   []topology.LinkID
+	appliedBuf  []topology.LinkID
+	violatedBuf []topology.SwitchID
+	safeBuf     []topology.LinkID
+	// activeSet marks the active links; coneBuf holds the endangered ToR
+	// cone segments is walking.
+	activeSet topology.LinkSet
+	coneBuf   []topology.LinkID
+	// parentBuf is the union-find forest over active indices, torHitBuf
+	// each endangered ToR's first active cone link, segOfBuf each group's
+	// segment number.
+	parentBuf []int32
+	torHitBuf []int32
+	segOfBuf  []int32
+	// segBuf backs the returned segments; a slot's link and ToR slices
+	// are reused by the next Run's segment in that slot.
+	segBuf []segment
+	walker topology.UpstreamWalker
 }
 
 // NewOptimizer returns an Optimizer over net minimizing the given penalty.
@@ -149,64 +157,36 @@ func (o *Optimizer) Run(threshold float64) ([]topology.LinkID, OptimizeStats) {
 		return append([]topology.LinkID(nil), active...), st
 	}
 
-	// Per-endangered-ToR upstream cones as bitsets: torUp[i] holds every
-	// link that can carry violated[i]'s traffic. Their union drives the
-	// pruning step, and the per-ToR sets drive segmentation (l affects
-	// tor ⟺ l ∈ upstream(tor) ⟺ tor ∈ downstream(l)) without the
-	// map-based downstream walks of the old implementation.
-	topo := o.net.Topology()
-	for len(o.torUpBuf) < len(violated) {
-		o.torUpBuf = append(o.torUpBuf, &topology.LinkSet{})
-	}
-	torUp := o.torUpBuf[:len(violated)]
-	if o.upstreamBuf == nil {
-		o.upstreamBuf = &topology.LinkSet{}
-	}
-	upstream := o.upstreamBuf
-	upstream.Reset(topo.NumLinks())
-	for i, tor := range violated {
-		torUp[i].Reset(topo.NumLinks())
-		o.walker.FromToR(topo, tor, torUp[i])
-		upstream.Union(torUp[i])
-	}
+	// One walk of each endangered ToR's upstream cone yields both the
+	// pruning split (active links in no cone cannot affect an endangered
+	// ToR) and the segments (links sharing an endangered ToR are
+	// solved together).
+	safe, segs := o.segments(active, violated, &st)
+	return o.disable(safe, segs, &st), st
+}
 
-	safe, contested := o.safeBuf[:0], o.contestedBuf[:0]
-	if o.cfg.DisablePruning {
-		contested = append(contested, active...)
-	} else {
-		for _, l := range active {
-			if upstream.Has(l) {
-				contested = append(contested, l)
-			} else {
-				safe = append(safe, l)
-			}
-		}
-		// Links not upstream of any endangered ToR cannot violate
-		// anything: disable immediately.
-		for _, l := range safe {
-			o.net.Disable(l)
-		}
-		st.SafelyDisabled = len(safe)
+// disable takes down the safe links and each segment's chosen subset, and
+// returns them all in that order.
+func (o *Optimizer) disable(safe []topology.LinkID, segs []segment, st *OptimizeStats) []topology.LinkID {
+	for _, l := range safe {
+		o.net.Disable(l)
 	}
-	o.safeBuf, o.contestedBuf = safe, contested
-
 	disabled := append([]topology.LinkID(nil), safe...)
-	segs := o.segments(contested, violated, torUp, &st)
 	if o.cfg.Workers > 1 && len(segs) > 1 {
-		for _, l := range o.solveParallel(segs, &st) {
+		for _, l := range o.solveParallel(segs, st) {
 			o.net.Disable(l)
 			disabled = append(disabled, l)
 		}
 	} else {
 		for _, seg := range segs {
-			chosen := o.solveSegment(seg, o.net.PathCounter(), &st)
+			chosen := o.solveSegment(seg, o.net.PathCounter(), st)
 			for _, l := range chosen {
 				o.net.Disable(l)
 				disabled = append(disabled, l)
 			}
 		}
 	}
-	return disabled, st
+	return disabled
 }
 
 // solveParallel fans the segments out over a bounded worker pool. The
@@ -266,106 +246,119 @@ type segment struct {
 	tors  []topology.SwitchID
 }
 
-// segments groups contested links such that two links sharing an endangered
-// downstream ToR land in the same group; groups can then be optimized
-// independently (§8's topology segmentation). torUp[i] must be the upstream
-// link cone of violated[i].
-func (o *Optimizer) segments(contested []topology.LinkID, violated []topology.SwitchID, torUp []*topology.LinkSet, st *OptimizeStats) []segment {
-	if len(contested) == 0 {
-		return nil
+// segments splits active (ascending) into the safe links pruning disables
+// unconditionally and the segments of contested links, from one walk of
+// each violated ToR's upstream cone (violated ascending). A link affects a
+// ToR exactly when it lies in that ToR's cone, so every active cone link is
+// contested, and each is unioned with its ToR's first one: links sharing an
+// endangered ToR land in the same segment, and segments can then be
+// optimized independently (§8's topology segmentation). The work is the sum
+// of the endangered cones' sizes plus a binary search per active cone link.
+//
+// Segments come out ordered by their first link, each with its links and
+// ToRs ascending. With DisablePruning the links no cone touches become
+// ToR-less singleton segments instead of safe ones. The returned slices
+// alias optimizer scratch and are valid until the next Run.
+func (o *Optimizer) segments(active []topology.LinkID, violated []topology.SwitchID, st *OptimizeStats) ([]topology.LinkID, []segment) {
+	topo := o.net.Topology()
+	o.activeSet.Reset(topo.NumLinks())
+	for _, l := range active {
+		o.activeSet.Add(l)
 	}
-	// affected and parent live in optimizer-owned scratch: segments runs
-	// once per optimizer invocation, and only the per-group link/ToR
-	// slices escape into the returned segments.
-	affected := o.affectedBuf
-	if cap(affected) < len(contested) {
-		affected = make([][]topology.SwitchID, len(contested))
-	} else {
-		affected = affected[:len(contested)]
-	}
-	o.affectedBuf = affected
-	for i, l := range contested {
-		affected[i] = affected[i][:0]
-		for j, tor := range violated {
-			if torUp[j].Has(l) {
-				affected[i] = append(affected[i], tor)
+	// parent[i] < 0: active[i] lies in no endangered cone.
+	parent := filled(o.parentBuf, len(active))
+	torHit := filled(o.torHitBuf, len(violated))
+	segOf := filled(o.segOfBuf, len(active))
+	o.parentBuf, o.torHitBuf, o.segOfBuf = parent, torHit, segOf
+	for j, tor := range violated {
+		o.coneBuf = o.walker.AppendFromToR(topo, tor, o.coneBuf[:0])
+		for _, l := range o.coneBuf {
+			if !o.activeSet.Has(l) {
+				continue
 			}
-		}
-	}
-	parent := o.parentBuf
-	if cap(parent) < len(contested) {
-		parent = make([]int, len(contested))
-	} else {
-		parent = parent[:len(contested)]
-	}
-	o.parentBuf = parent
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	if o.cfg.DisableSegmentation {
-		for i := 1; i < len(contested); i++ {
-			union(0, i)
-		}
-	} else {
-		torOwner := make(map[topology.SwitchID]int)
-		for i := range contested {
-			for _, tor := range affected[i] {
-				if prev, ok := torOwner[tor]; ok {
-					union(prev, i)
-				} else {
-					torOwner[tor] = i
-				}
+			n, _ := slices.BinarySearch(active, l)
+			i := int32(n)
+			if parent[i] < 0 {
+				parent[i] = i
+			}
+			if torHit[j] < 0 {
+				torHit[j] = i
+			} else {
+				parent[find(parent, i)] = find(parent, torHit[j])
 			}
 		}
 	}
 
-	groups := make(map[int]*segment)
-	for i, l := range contested {
-		root := find(i)
-		g, ok := groups[root]
-		if !ok {
-			g = &segment{}
-			groups[root] = g
+	// group names the segment active[i] joins: its union-find root, or
+	// one shared group with segmentation off; -1 marks a safe link.
+	group := func(i int32) int32 {
+		switch {
+		case parent[i] < 0 && !o.cfg.DisablePruning:
+			return -1
+		case o.cfg.DisableSegmentation:
+			return 0
+		case parent[i] < 0:
+			return i
 		}
-		g.links = append(g.links, l)
-		g.tors = append(g.tors, affected[i]...)
+		return find(parent, i)
 	}
-	out := make([]segment, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, *g)
+	safe, segs := o.safeBuf[:0], o.segBuf[:0]
+	for i, l := range active {
+		g := group(int32(i))
+		if g < 0 {
+			safe = append(safe, l)
+			continue
+		}
+		if segOf[g] < 0 {
+			segOf[g] = int32(len(segs))
+			segs = nextSegment(segs)
+		}
+		seg := &segs[segOf[g]]
+		seg.links = append(seg.links, l)
 	}
-	// Deterministic order for reproducibility (and to keep the map-order
-	// collection above inside maprange's collect-then-sort idiom).
-	slices.SortFunc(out, func(a, b segment) int { return cmp.Compare(a.links[0], b.links[0]) })
-	for i := range out {
-		out[i].tors = dedupToRs(out[i].tors)
-		if len(out[i].links) > st.LargestSegment {
-			st.LargestSegment = len(out[i].links)
+	for j, tor := range violated {
+		if torHit[j] >= 0 {
+			seg := &segs[segOf[group(torHit[j])]]
+			seg.tors = append(seg.tors, tor)
 		}
 	}
-	st.Segments = len(out)
-	return out
+	o.safeBuf, o.segBuf = safe, segs
+	for _, seg := range segs {
+		st.LargestSegment = max(st.LargestSegment, len(seg.links))
+	}
+	st.Segments = len(segs)
+	st.SafelyDisabled = len(safe)
+	return safe, segs
 }
 
-func dedupToRs(tors []topology.SwitchID) []topology.SwitchID {
-	slices.Sort(tors)
-	out := tors[:0]
-	for i, t := range tors {
-		if i == 0 || t != tors[i-1] {
-			out = append(out, t)
-		}
+// filled returns buf resized to n entries, all -1.
+func filled(buf []int32, n int) []int32 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = -1
 	}
-	return out
+	return buf
+}
+
+// find returns x's union-find root, halving the path on the way.
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// nextSegment extends segs by one empty segment, reusing the link and ToR
+// buffers an earlier Run left in that slot.
+func nextSegment(segs []segment) []segment {
+	if len(segs) == cap(segs) {
+		return append(segs, segment{})
+	}
+	segs = segs[:len(segs)+1]
+	seg := &segs[len(segs)-1]
+	seg.links, seg.tors = seg.links[:0], seg.tors[:0]
+	return segs
 }
 
 // solveSegment picks the subset of seg.links to disable that maximizes the

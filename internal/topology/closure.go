@@ -107,10 +107,11 @@ type UpstreamWalker struct {
 	stack []SwitchID
 }
 
-// FromToR adds to set every link on some valley-free path from tor to the
-// spine — UpstreamLinkSet for a single ToR, with the walker owning the
-// visited/stack scratch. set must be sized for t and is not cleared first.
-func (w *UpstreamWalker) FromToR(t *Topology, tor SwitchID, set *LinkSet) {
+// AppendFromToR appends to dst every link on some valley-free path from tor
+// to the spine — UpstreamLinkSet for a single ToR, with the walker owning
+// the visited/stack scratch — and returns the extended slice. Each cone
+// link is appended exactly once, in walk order.
+func (w *UpstreamWalker) AppendFromToR(t *Topology, tor SwitchID, dst []LinkID) []LinkID {
 	if cap(w.seen) < len(t.switches) {
 		w.seen = make([]bool, len(t.switches))
 	}
@@ -122,7 +123,7 @@ func (w *UpstreamWalker) FromToR(t *Topology, tor SwitchID, set *LinkSet) {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, ul := range t.Switch(cur).Uplinks {
-			set.Add(ul)
+			dst = append(dst, ul)
 			nxt := t.Link(ul).Upper
 			if !seen[nxt] {
 				seen[nxt] = true
@@ -131,6 +132,7 @@ func (w *UpstreamWalker) FromToR(t *Topology, tor SwitchID, set *LinkSet) {
 		}
 	}
 	w.seen, w.stack = seen, stack[:0]
+	return dst
 }
 
 // SwitchesWithLinks returns the distinct switches touched by the given

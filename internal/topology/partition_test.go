@@ -83,20 +83,19 @@ func TestPartitionConeClosed(t *testing.T) {
 	} {
 		segs := topo.Partition()
 		var w UpstreamWalker
-		cone := NewLinkSet(topo.NumLinks())
+		var cone []LinkID
 		for si, seg := range segs {
 			inSeg := NewLinkSet(topo.NumLinks())
 			for _, l := range seg.Links {
 				inSeg.Add(l)
 			}
 			for _, tor := range seg.ToRs {
-				cone.Clear()
-				w.FromToR(topo, tor, cone)
-				cone.Each(func(l LinkID) {
+				cone = w.AppendFromToR(topo, tor, cone[:0])
+				for _, l := range cone {
 					if !inSeg.Has(l) {
 						t.Errorf("%s: segment %d: ToR %d cone link %d outside segment", name, si, tor, l)
 					}
-				})
+				}
 			}
 		}
 	}

@@ -190,6 +190,35 @@ func TestUpstreamLinksPartial(t *testing.T) {
 	}
 }
 
+// TestAppendFromToR checks the walker's cone against UpstreamLinks for
+// every ToR, through one reused walker and buffer: the same links, each
+// appended once.
+func TestAppendFromToR(t *testing.T) {
+	topo, err := NewMultiTier([]int{8, 4, 4, 2}, []int{2, 2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w UpstreamWalker
+	var cone []LinkID
+	for _, tor := range topo.ToRs() {
+		cone = w.AppendFromToR(topo, tor, cone[:0])
+		want := topo.UpstreamLinks([]SwitchID{tor})
+		seen := make(map[LinkID]bool)
+		for _, l := range cone {
+			if seen[l] {
+				t.Fatalf("ToR %d: link %d appended twice", tor, l)
+			}
+			seen[l] = true
+			if !want[l] {
+				t.Fatalf("ToR %d: link %d is not upstream", tor, l)
+			}
+		}
+		if len(cone) != len(want) {
+			t.Fatalf("ToR %d: cone has %d links, want %d", tor, len(cone), len(want))
+		}
+	}
+}
+
 func TestOpposite(t *testing.T) {
 	topo, torUp, _ := buildFig10(t)
 	lk := topo.Link(torUp[0])
